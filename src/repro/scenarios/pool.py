@@ -57,12 +57,15 @@ without an intervening transition returns the same object.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.simulation.engine import Simulator
+from repro.simulation.events import Event
 
 #: A pool key: ``(gpu name, region name)``.
 PoolKey = Tuple[str, str]
@@ -177,10 +180,11 @@ class PoolSnapshot:
 class _WarmServer:
     """One still-running warm server; ``taken`` guards its cooldown timer."""
 
-    __slots__ = ("taken",)
+    __slots__ = ("taken", "cooldown")
 
     def __init__(self) -> None:
         self.taken = False
+        self.cooldown: Optional[Event] = None
 
 
 class _Waiter:
@@ -270,6 +274,10 @@ class TransientPool:
         self._waiters: Dict[PoolKey, Deque[_Waiter]] = {
             key: deque() for key in self._states}
         self._warm: Dict[PoolKey, Deque[_WarmServer]] = {
+            key: deque() for key in self._states}
+        #: Scheduled reclaim returns per cell, oldest first (the delay is
+        #: constant, so they fire in this order).
+        self._reclaims: Dict[PoolKey, Deque[Event]] = {
             key: deque() for key in self._states}
         self.launches = 0
         self.releases = 0
@@ -430,14 +438,16 @@ class TransientPool:
         key = (gpu_name, region_name)
 
         def restore(_sim: Simulator) -> None:
+            self._reclaims[key].popleft()
             state.reclaimed -= 1
             self._bump()
             if self.warm_enabled and state.warm < self.warm_capacity:
                 self._add_warm(key)
             self._serve(key)
 
-        self.simulator.schedule(self.reclaim_seconds, restore,
-                                label=f"pool:reclaim:{gpu_name}:{region_name}")
+        self._reclaims[key].append(self.simulator.schedule(
+            self.reclaim_seconds, restore,
+            label=f"pool:reclaim:{gpu_name}:{region_name}"))
 
     def _add_warm(self, key: PoolKey) -> None:
         """Park one returning slot as a warm server for ``warm_seconds``."""
@@ -460,8 +470,9 @@ class TransientPool:
             self._bump()
             self._serve(key)
 
-        self.simulator.schedule(self.warm_seconds, cooldown,
-                                label=f"pool:cooldown:{key[0]}:{key[1]}")
+        server.cooldown = self.simulator.schedule(
+            self.warm_seconds, cooldown,
+            label=f"pool:cooldown:{key[0]}:{key[1]}")
 
     def request_replacement(self, gpu_name: str, region_name: str,
                             grant: GrantFn, queue: bool = False,
@@ -590,6 +601,64 @@ class TransientPool:
             cells[f"{gpu}/{region}"] = cell
         stats["cells"] = cells
         return stats
+
+    def pending_returns(self) -> Dict[str, List[Tuple[float, int, str]]]:
+        """Capacity returns still scheduled, per cell (``stats`` key).
+
+        Each entry is ``(due time, event sequence, kind)``: ``"reclaim"``
+        for revoked capacity coming back, ``"cooldown"`` for a parked warm
+        server cooling into cold capacity.  A shard of a sharded fleet
+        stops at its own last job, so these are the pool transitions a
+        single-process run of the whole fleet would still fire before the
+        fleet's last job ends; :meth:`settle_cell_stats` applies them.
+        """
+        pending: Dict[str, List[Tuple[float, int, str]]] = {}
+        for (gpu, region), events in sorted(self._reclaims.items()):
+            entries = [(event.time, event.sequence, "reclaim")
+                       for event in events]
+            entries.extend((server.cooldown.time, server.cooldown.sequence,
+                            "cooldown") for server in self._warm[(gpu, region)]
+                           if server.cooldown is not None)
+            if entries:
+                pending[f"{gpu}/{region}"] = sorted(entries)
+        return pending
+
+    @staticmethod
+    def settle_cell_stats(cell: Mapping[str, object],
+                          pending: Sequence[Tuple[float, int, str]],
+                          until: float, warm_seconds: float,
+                          warm_capacity: int) -> Dict[str, object]:
+        """Replay a cell's :meth:`pending_returns` due before ``until``.
+
+        Mirrors the reclaim-return and cooldown callbacks on the counters
+        of one cell's :meth:`stats` entry: a return releases a reclaimed
+        slot, parking it as a warm server (with its own cooldown) while
+        the warm pool has room.  No replacement is waiting when a shard's
+        jobs have all ended, so no return grants a slot.  Events due at
+        ``until`` itself do not fire: the stopping event of the shard
+        that ends last precedes them.
+        """
+        settled = dict(cell)
+        queue = list(pending)
+        heapq.heapify(queue)
+        # Cooldowns scheduled during the replay come after every pending
+        # event at the same time, as fresh heap sequence numbers would.
+        sequence = max((entry[1] for entry in queue), default=0) + 1
+        warm_enabled = warm_capacity > 0 and warm_seconds > 0
+        while queue and queue[0][0] < until:
+            time, _, kind = heapq.heappop(queue)
+            if kind == "cooldown":
+                settled["warm"] -= 1
+                continue
+            settled["reclaimed"] -= 1
+            if warm_enabled and settled["warm"] < warm_capacity:
+                settled["warm"] += 1
+                settled["peak_warm"] = max(settled["peak_warm"],
+                                           settled["warm"])
+                heapq.heappush(queue, (time + warm_seconds, sequence,
+                                       "cooldown"))
+                sequence += 1
+        return settled
 
     @staticmethod
     def merge_stats(stats_list: Sequence[Mapping[str, object]]

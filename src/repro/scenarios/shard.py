@@ -105,6 +105,14 @@ pool stats merged cell-by-cell (cells are disjoint by ownership), and
 draw rank reproduces the single-process heap tie-break because revocation
 events are scheduled immediately after their draws, in draw order.
 
+A shard stops when its own last job ends, but the single-process run goes
+on until the fleet's last job ends.  Reclaim returns and warm cooldowns
+already scheduled in a shard's cells keep firing in that gap, so each
+shard also reports its stop time and its cells' pending returns
+(``TransientPool.pending_returns``), and the parent replays those due
+before the latest stop onto the shard's cell counters
+(``TransientPool.settle_cell_stats``) before merging.
+
 Contracts (pinned by ``tests/test_shard.py`` and the golden matrix):
 
 * payloads bit-identical to single-process across ``REPRO_FLEET_SHARDS``
@@ -527,7 +535,8 @@ def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
         if spool is not None:
             spool.close()
         conn.send(("done", (payload, run.revocation_records,
-                            run.events_processed)))
+                            run.events_processed, run.pool.pending_returns(),
+                            run.simulator.now)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -925,9 +934,31 @@ class ShardedFleetRun:
         return draw_count
 
     # -- payload merge -------------------------------------------------
+    def _settle_pool(self, result: Tuple, results: List[Tuple]
+                     ) -> Dict[str, Any]:
+        """One shard's payload with its pool cells advanced to the fleet's
+        stop time.
+
+        A shard stops when its own last job ends; the single-process run
+        stops when the fleet's last job ends, the latest shard stop.  The
+        reclaim returns and warm cooldowns of the shard's cells that come
+        due in between fire in the single-process run, so they are applied
+        here to the shard's cell counters.
+        """
+        payload, pending = result[0], result[3]
+        stop = max(other[4] for other in results)
+        if not pending or result[4] >= stop:
+            return payload
+        cells = dict(payload["pool"]["cells"])
+        for key, returns in pending.items():
+            cells[key] = TransientPool.settle_cell_stats(
+                cells[key], returns, stop, self.scenario.warm_seconds,
+                self.scenario.warm_capacity)
+        return {**payload, "pool": {**payload["pool"], "cells": cells}}
+
     def _merge(self, results: List[Tuple]) -> Dict[str, Any]:
         """Reassemble the single-process payload from per-shard results."""
-        payloads = [result[0] for result in results]
+        payloads = [self._settle_pool(result, results) for result in results]
         records = [record for result in results for record in result[1]]
         self.events_processed = sum(result[2] for result in results)
 

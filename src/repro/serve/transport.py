@@ -23,7 +23,11 @@ client request cannot take down the stream for the rest.  Error codes
 are structural, not prose — clients branch on them:
 
 ``bad_request``
-    The request itself is wrong (unknown op, malformed document).
+    The request itself is wrong: malformed JSON, not an object, an
+    unknown op, a document its parser rejects
+    (:meth:`~repro.modeling.placement.PlacementQuery.from_params`, a
+    recalibration document), or a value the service rejects as a
+    :class:`~repro.errors.ConfigurationError` (an unknown GPU or region).
     Retrying verbatim can never succeed.
 ``timeout``
     Dispatch exceeded :attr:`ServerConfig.request_timeout`.  The server
@@ -33,8 +37,10 @@ are structural, not prose — clients branch on them:
     the server refuses the connection after answering this one line.
     Back off and retry.
 ``internal``
-    An unexpected server-side failure; logged server-side, safe to
-    retry idempotent ops.
+    Any other exception raised while dispatching a request — a fault of
+    the server, not of the request.  It is logged with its traceback
+    through the ``repro.serve`` logger; idempotent ops are safe to
+    retry.
 
 Hardening knobs live on :class:`ServerConfig`; clients that need to
 survive transient faults use :func:`request_with_retry`, which retries
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import random
 import time
 from dataclasses import dataclass
@@ -57,6 +64,8 @@ from repro import chaos
 from repro.errors import ConfigurationError, ReproError
 from repro.modeling.placement import PlacementQuery
 from repro.serve.service import PlacementService
+
+_LOG = logging.getLogger("repro.serve")
 
 #: Maximum request-line length (a 4096-cell batch fits comfortably).
 MAX_LINE_BYTES = 4 * 1024 * 1024
@@ -69,6 +78,10 @@ IDEMPOTENT_OPS = frozenset({"answer", "answer_many", "stats", "health"})
 
 class TransportError(ReproError):
     """The server closed a connection mid-conversation (retryable)."""
+
+
+class BadRequest(ReproError):
+    """A request that can never succeed as sent (``bad_request``)."""
 
 
 @dataclass(frozen=True)
@@ -135,12 +148,18 @@ async def handle_request(service: PlacementService,
     """Dispatch one decoded request document; returns the result payload."""
     operation = request.get("op")
     if operation == "answer":
-        query = PlacementQuery.from_params(request.get("query") or {})
+        try:
+            query = PlacementQuery.from_params(request.get("query") or {})
+        except Exception as exc:
+            raise BadRequest(str(exc) or repr(exc)) from exc
         decision = await service.answer(query)
         return decision.to_params()
     if operation == "answer_many":
-        queries = [PlacementQuery.from_params(document)
-                   for document in request.get("queries") or []]
+        try:
+            queries = [PlacementQuery.from_params(document)
+                       for document in request.get("queries") or []]
+        except Exception as exc:
+            raise BadRequest(str(exc) or repr(exc)) from exc
         decisions = await service.answer_many(queries)
         return [decision.to_params() for decision in decisions]
     if operation == "stats":
@@ -153,11 +172,15 @@ async def handle_request(service: PlacementService,
         from repro.telemetry.recalibrate import RecalibrationResult
         document = request.get("calibration")
         if not isinstance(document, dict):
-            raise ReproError(
+            raise BadRequest(
                 "recalibrate requires a 'calibration' object (a "
                 "RecalibrationResult.to_params() document)")
-        return service.recalibrate(RecalibrationResult.from_params(document))
-    raise ReproError(f"unknown op {operation!r}; expected answer, "
+        try:
+            calibration = RecalibrationResult.from_params(document)
+        except Exception as exc:
+            raise BadRequest(str(exc) or repr(exc)) from exc
+        return service.recalibrate(calibration)
+    raise BadRequest(f"unknown op {operation!r}; expected answer, "
                      f"answer_many, stats, health, or recalibrate")
 
 
@@ -225,7 +248,7 @@ async def _handle_connection(service: PlacementService,
             try:
                 request = json.loads(text)
                 if not isinstance(request, dict):
-                    raise ReproError("a request must be a JSON object")
+                    raise BadRequest("a request must be a JSON object")
                 result = await asyncio.wait_for(
                     _dispatch(service, request, state),
                     state.config.request_timeout)
@@ -235,9 +258,12 @@ async def _handle_connection(service: PlacementService,
                     ReproError(f"request timed out after "
                                f"{state.config.request_timeout:g}s"),
                     "timeout")
-            except (ReproError, ValueError, TypeError, KeyError) as exc:
+            except (json.JSONDecodeError, BadRequest,
+                    ConfigurationError) as exc:
                 response = _error_response(exc, "bad_request")
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:
+                _LOG.error("internal error answering request %.200s", text,
+                           exc_info=exc)
                 response = _error_response(exc, "internal")
             finally:
                 state.in_flight -= 1

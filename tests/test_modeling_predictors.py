@@ -3,12 +3,16 @@
 import pytest
 
 from repro.errors import DataError, ModelingError, NotFittedError
+from repro.modeling import checkpoint_predictor
 from repro.modeling.checkpoint_predictor import (
+    DEFAULT_SVR_C,
+    DEFAULT_SVR_EPSILON,
     TABLE4_MODEL_SPECS,
     CheckpointTimePredictor,
     build_table4_models,
     evaluate_table4_models,
 )
+from repro.modeling.model_selection import PAPER_C_GRID, PAPER_EPSILON_GRID
 from repro.modeling.speed_predictor import (
     TABLE2_MODEL_SPECS,
     ClusterSpeedPredictor,
@@ -151,6 +155,32 @@ def test_checkpoint_predictors_fit_and_predict(checkpoint_measurements, catalog)
         predicted = model.predict_time(files)
         # Ground truth for ResNet-32 is ~3.84 s.
         assert predicted == pytest.approx(3.84, rel=0.4), name
+
+
+def test_table4_paper_grid_search_no_worse_than_defaults(
+        checkpoint_measurements, catalog, monkeypatch):
+    """Section III-B's protocol: the paper's full 10x10 (C, epsilon) grid,
+    5-fold, on the 100-sample Table IV dataset (80-row fits)."""
+    searches = []
+    search = checkpoint_predictor.grid_search_svr
+
+    def recording_search(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(checkpoint_predictor, "grid_search_svr",
+                        recording_search)
+    models = build_table4_models(checkpoint_measurements, use_grid_search=True)
+    (result,) = searches
+    maes = dict(result.results)
+    assert list(maes) == [(c, e) for c in PAPER_C_GRID
+                          for e in PAPER_EPSILON_GRID]
+    assert result.best_mae == maes[(result.best_C, result.best_epsilon)]
+    assert result.best_mae <= maes[(DEFAULT_SVR_C, DEFAULT_SVR_EPSILON)]
+    svr = models["SVR RBF kernel"]
+    assert (svr.svr_C, svr.svr_epsilon) == (result.best_C, result.best_epsilon)
+    files = catalog.profile("resnet_32").checkpoint
+    assert svr.predict_time(files) == pytest.approx(3.84, rel=0.4)
 
 
 def test_checkpoint_evaluation_rows(checkpoint_measurements):

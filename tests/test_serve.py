@@ -201,6 +201,77 @@ def test_tcp_errors_answer_error_lines_without_killing_the_stream():
     assert good["ok"] and good["result"]["options"]
 
 
+def _tcp_responses(service, documents):
+    """Pipeline raw request lines over one connection; the responses."""
+    async def scenario():
+        server = await start_server(service)
+        host, port = serve_address(server)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(
+                (line if isinstance(line, bytes)
+                 else json.dumps(line).encode()) + b"\n"
+                for line in documents))
+            await writer.drain()
+            responses = [json.loads(await reader.readline())
+                         for _ in documents]
+            writer.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+        return responses
+
+    return asyncio.run(scenario())
+
+
+GOOD_QUERY = {"gpu_name": "k80", "duration_hours": 1.0,
+              "hour_of_day_utc": 9.0}
+
+
+@pytest.mark.parametrize("error", [KeyError("cell"), TypeError("bug"),
+                                   ValueError("bug"), ReproError("bug")])
+def test_service_side_exceptions_are_internal_and_logged(error, monkeypatch,
+                                                         caplog):
+    service = make_service()
+    calls = []
+
+    def broken_answer_now(query):
+        calls.append(query)
+        if len(calls) == 1:
+            raise error
+        return PlacementService.answer_now(service, query)
+
+    monkeypatch.setattr(service, "answer_now", broken_answer_now)
+    with caplog.at_level("ERROR", logger="repro.serve"):
+        failed, good = _tcp_responses(service, [
+            {"op": "answer", "query": GOOD_QUERY},
+            {"op": "answer", "query": GOOD_QUERY}])
+    assert not failed["ok"] and failed["code"] == "internal"
+    assert good["ok"] and good["result"]["options"]
+    (record,) = [r for r in caplog.records if r.name == "repro.serve"]
+    assert record.exc_info is not None and record.exc_info[1] is error
+    assert "Traceback" in caplog.text
+
+
+def test_request_validation_errors_stay_bad_request(caplog):
+    with caplog.at_level("ERROR", logger="repro.serve"):
+        responses = _tcp_responses(make_service(), [
+            b"{not json",
+            [1, 2],
+            {"op": "bogus"},
+            {"op": "answer", "query": {"gpu_name": "k80"}},
+            {"op": "answer", "query": {**GOOD_QUERY, "duration_hours": "x"}},
+            {"op": "answer", "query": {**GOOD_QUERY, "colour": "red"}},
+            {"op": "answer_many", "queries": [GOOD_QUERY, 7]},
+            {"op": "answer", "query": {**GOOD_QUERY, "gpu_name": "h100"}},
+            {"op": "recalibrate"},
+            {"op": "recalibrate",
+             "calibration": {"calibration": {"k80": [1.0, 2.0]}}},
+        ])
+    assert [r.get("code") for r in responses] == ["bad_request"] * 10
+    assert not [r for r in caplog.records if r.name == "repro.serve"]
+
+
 # ---------------------------------------------------------------------------
 # Hardening: health, timeouts, backpressure, retries (PR 9).
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.scenarios import (
     run_fleet_sharded,
 )
 from repro.scenarios.fleet import run_scenario
+from repro.scenarios.pool import TransientPool
 from repro.scenarios.shard import ShardedFleetRun
 from repro.scenarios.spec import JobSpec, ScenarioSpec
 from repro.simulation.rng import RandomStreams
@@ -239,6 +240,61 @@ def test_warm_pool_fleet_is_identical_across_shards(catalog):
     assert normalized(payload) == normalized(single)
     assert "replacements_warm" in payload
     assert "warm_reuse_rate" in payload
+
+
+def late_reclaim_fleet(warm_seconds=0.0, warm_capacity=0):
+    """Two independent cells whose jobs end hours apart.
+
+    At seed 8 the short us-central1 jobs end while the reclaim return of
+    their cell's one revocation is still pending; the single-process fleet
+    runs on for the long us-east1 jobs and fires it (and, with a warm
+    pool, the warm server's cooldown after it)."""
+    specs = tuple(
+        JobSpec(name=f"late-{index}", model_name="resnet_15",
+                total_steps=400_000 if index % 2 == 0 else 100_000,
+                workers=(("k80", REGIONS[index % 2]),) * 3,
+                checkpoint_interval_steps=4000, queue_replacements=True)
+        for index in range(4))
+    return ScenarioSpec(
+        name="late_reclaim", description="cells that stop hours apart",
+        jobs=specs,
+        pool_capacity={("k80", region): 6 for region in REGIONS[:2]},
+        reclaim_seconds=3600.0, epoch_hour_utc=8.5,
+        warm_seconds=warm_seconds, warm_capacity=warm_capacity)
+
+
+@pytest.mark.parametrize("warm_seconds,warm_capacity", [(0.0, 0), (1800.0, 2)])
+def test_reclaims_due_after_a_shard_stops_fire_before_the_fleet_stops(
+        catalog, warm_seconds, warm_capacity):
+    scenario = late_reclaim_fleet(warm_seconds, warm_capacity)
+    single = run_fleet(scenario, RandomStreams(seed=8), catalog=catalog)
+    cell = single["pool"]["cells"]["k80/us-central1"]
+    assert single["revocations"] > 0 and cell["reclaimed"] == 0
+    if warm_capacity:
+        assert cell["peak_warm"] == 1 and cell["warm"] == 0
+    payload = run_fleet_sharded(scenario, RandomStreams(seed=8),
+                                catalog=catalog, shards=2)
+    assert normalized(payload) == normalized(single)
+
+
+def test_settle_cell_stats_replays_returns_due_before_the_stop():
+    cell = {"capacity": 4, "in_use": 0, "reclaimed": 2, "peak_in_use": 4,
+            "waiting": 0, "warm": 0, "peak_warm": 0}
+    pending = [(10.0, 3, "reclaim"), (50.0, 7, "reclaim")]
+    cold = TransientPool.settle_cell_stats(cell, pending, 50.0, 0.0, 0)
+    # The return due at the stop time itself does not fire.
+    assert cold["reclaimed"] == 1 and cold["warm"] == 0
+    assert cell["reclaimed"] == 2  # the input is not modified
+    warm = TransientPool.settle_cell_stats(cell, pending, 70.0, 30.0, 1)
+    # 10 s: parked warm (cooldown due at 40 s); 40 s: cooled; 50 s: parked
+    # again, still warm at the stop.
+    assert (warm["reclaimed"], warm["warm"], warm["peak_warm"]) == (0, 1, 1)
+    full = TransientPool.settle_cell_stats(
+        {**cell, "warm": 1, "peak_warm": 1}, pending + [(20.0, 1, "cooldown")],
+        70.0, 30.0, 1)
+    # 10 s: the warm pool is full, so the slot returns cold; 20 s: the
+    # parked server cools; 50 s: parked warm.
+    assert (full["reclaimed"], full["warm"], full["peak_warm"]) == (0, 1, 1)
 
 
 def test_sharded_event_counts_sum_across_shards(catalog):
